@@ -44,7 +44,7 @@ WARM_START_WORKLOADS = [
     ("camera_pipeline", 512),
     ("harris", 512),
     ("local_laplacian", 512),
-    ("multiscale_interp", 512),
+    ("multiscale_interp", 2048),
     ("unsharp_mask", 512),
     ("2mm", 256),
     ("3mm", 256),

@@ -28,7 +28,7 @@ from common import save_results
 from repro import CompileOptions
 from repro.core import optimize
 from repro.presburger import memo
-from repro.service import instrument
+from repro import obs as instrument
 
 #: The budget the instrumentation must stay under on a cold compile.
 OVERHEAD_BUDGET = 0.02

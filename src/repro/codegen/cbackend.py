@@ -137,9 +137,9 @@ def generate_c(
     Tensors are read from ``<name>.bin`` (row-major float64) and live-out
     tensors are written back to ``<name>.out.bin``.
     """
-    from ..service import instrument
+    from .. import obs
 
-    with instrument.span("codegen.generate_c"):
+    with obs.span("codegen.generate_c"):
         return _generate_c(tree, program, params)
 
 

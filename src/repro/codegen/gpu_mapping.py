@@ -46,13 +46,13 @@ def map_to_gpu(result: OptimizeResult) -> List[KernelInfo]:
 
     The tree is modified in place (idempotent: existing marks are reused).
     """
-    from ..service import instrument
+    from .. import obs
     from .promotion import promoted_buffers
 
-    with instrument.span("codegen.gpu_mapping"):
+    with obs.span("codegen.gpu_mapping"):
         buffers = promoted_buffers(result)
         kernels = _map_kernels(result, buffers)
-        instrument.annotate(kernels=len(kernels))
+        obs.annotate(kernels=len(kernels))
         return kernels
 
 

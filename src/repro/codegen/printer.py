@@ -144,9 +144,9 @@ def print_tree(
     tree: DomainNode, program: Program, style: str = "openmp"
 ) -> str:
     """Render a schedule tree as imperative pseudo-C."""
-    from ..service import instrument
+    from .. import obs
 
-    with instrument.span("codegen.print_tree", style=style):
+    with obs.span("codegen.print_tree", style=style):
         return _print_tree(tree, program, style)
 
 

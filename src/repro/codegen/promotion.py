@@ -79,11 +79,11 @@ def promoted_buffers(
     A tensor is promoted when it is produced by a fused (extension) space
     and consumed inside the same cluster's tiles.
     """
-    from ..service import instrument
+    from .. import obs
 
-    with instrument.span("codegen.promotion"):
+    with obs.span("codegen.promotion"):
         out = _promoted_buffers(result, params)
-        instrument.annotate(
+        obs.annotate(
             clusters=len(out), buffers=sum(len(b) for b in out.values())
         )
         return out

@@ -124,16 +124,16 @@ def composite_tiling_fusion(
 
     Step 3 (tree rewriting) is :func:`repro.core.post_fusion.apply_mixed_schedules`.
     """
-    from ..service import instrument
+    from .. import obs
 
     groups = scheduled.groups
     liveouts = liveout_groups(program, groups)
     inters: Dict[str, List[FusionGroup]] = {
         L.name: intermediate_groups_of(program, L, groups) for L in liveouts
     }
-    with instrument.span("resolve_shared_spaces", liveouts=len(liveouts)):
+    with obs.span("resolve_shared_spaces", liveouts=len(liveouts)):
         standalone = resolve_shared_spaces(program, liveouts, inters)
-        instrument.annotate(standalone=len(standalone))
+        obs.annotate(standalone=len(standalone))
 
     mixed = MixedSchedules()
     for L in liveouts:
@@ -149,7 +149,7 @@ def composite_tiling_fusion(
         covered.add(id(g))
         _append_standalone(mixed, g, tile_sizes, target)
 
-    with instrument.span("unfuse_dangling_readers"):
+    with obs.span("unfuse_dangling_readers"):
         _unfuse_dangling_readers(program, mixed, tile_sizes, target)
     return mixed
 

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
+from .. import obs
 from ..ir import Program
 from ..presburger import Map, UnionMap
 from ..scheduler import FusionGroup
-from ..service import instrument
 
 
 def exposed_tensors(
@@ -37,7 +37,7 @@ def exposed_tensors(
             produced_elsewhere.add(program.statement(s).tensor_written())
     exposed = tuple(sorted(read & produced_elsewhere))
     if exposed:
-        instrument.count("exposed.tensors", len(exposed))
+        obs.count("exposed.tensors", len(exposed))
     return exposed
 
 

@@ -16,10 +16,10 @@ from __future__ import annotations
 import os
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from .. import obs
 from ..ir import Program
 from ..presburger import BasicMap, Constraint, LinExpr, Map, MapSpace, UnionMap, memo
 from ..scheduler import FusionGroup
-from ..service import instrument
 
 TILE_TUPLE = "_tile"
 
@@ -148,7 +148,7 @@ def tile_to_instances(
     cached = _T2I_MEMO.get(key)
     if cached is not memo.MISS:
         return cached
-    with instrument.span("tile_to_instances", group=group.name):
+    with obs.span("tile_to_instances", group=group.name):
         return _tile_to_instances_miss(program, group, tile_sizes, tdims, key)
 
 
@@ -203,11 +203,11 @@ def tile_footprint(
     Only reads of the listed ``tensors`` (the upwards-exposed data) are
     included; results are keyed ``(TILE_TUPLE, tensor)``.
     """
-    with instrument.span("footprint", group=group.name, tensors=len(tensors)):
+    with obs.span("footprint", group=group.name, tensors=len(tensors)):
         fp = _tile_footprint(program, group, tile_sizes, tensors, tile_dims)
-        instrument.annotate(relations=len(fp.maps))
+        obs.annotate(relations=len(fp.maps))
         for m in fp.maps.values():
-            instrument.observe(
+            obs.observe(
                 "footprint.pieces", len(m.pieces), buckets=(1, 2, 4, 8, 16, 32)
             )
         return fp
@@ -257,7 +257,7 @@ def _tile_footprint(
                 out[tensor] = prev.union(fp.rename_dims(rename))
             else:
                 out[tensor] = fp
-    instrument.count("footprint.relations", len(out))
+    obs.count("footprint.relations", len(out))
     return _FOOTPRINT_MEMO.put(key, UnionMap(list(out.values())))
 
 
@@ -266,7 +266,7 @@ def footprint_size(
 ) -> int:
     """Exact number of elements a concrete tile touches."""
     n = fp.fix_params(params).image_of_point(tile_origin).count_points()
-    instrument.observe(
+    obs.observe(
         "footprint.size_elements",
         n,
         buckets=(64, 256, 1024, 4096, 16384, 65536, 262144, 1048576),
@@ -353,7 +353,7 @@ def write_footprint(
     tile_dims: Optional[Sequence[str]] = None,
 ) -> UnionMap:
     """Like :func:`tile_footprint` but for writes (used for store traffic)."""
-    with instrument.span("write_footprint", group=group.name):
+    with obs.span("write_footprint", group=group.name):
         return _write_footprint(program, group, tile_sizes, tensors, tile_dims)
 
 

@@ -20,15 +20,10 @@ import time
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from .. import obs
 from ..ir import Program
 from ..schedule import DomainNode
-from ..scheduler import (
-    SMARTFUSE,
-    FusionGroup,
-    Scheduled,
-    schedule_program,
-)
-from ..service import instrument
+from ..scheduler import FusionGroup, Scheduled, schedule_program
 from .compose import composite_tiling_fusion
 from .post_fusion import apply_mixed_schedules
 from .tile_shapes import MixedSchedules, TargetSpec
@@ -89,28 +84,28 @@ def optimize(
     opts = resolve_options(options, "optimize", **removed)
     spec = opts.target
     t0 = time.perf_counter()
-    with instrument.span(
+    with obs.span(
         "optimize",
         target=spec.name,
         startup=opts.startup,
         statements=len(program.statements),
         tile_sizes=str(opts.tile_sizes) if opts.tile_sizes else "auto",
     ) as root:
-        if root is not None and instrument.tracing():
+        if root is not None and obs.tracing():
             # The fingerprint hash is only worth paying for in a trace.
             from ..service.fingerprint import fingerprint_program
 
             root.annotate(fingerprint=fingerprint_program(program)[:12])
-        with instrument.span("startup_fusion", heuristic=opts.startup):
+        with obs.span("startup_fusion", heuristic=opts.startup):
             scheduled = schedule_program(program, opts.startup)
-        with instrument.span("tile_shapes"):
+        with obs.span("tile_shapes"):
             mixed = composite_tiling_fusion(
                 program, scheduled, opts.tile_sizes, spec
             )
-        with instrument.span("post_fusion"):
+        with obs.span("post_fusion"):
             tree = apply_mixed_schedules(program, scheduled, mixed)
     elapsed = time.perf_counter() - t0
-    instrument.gauge("optimize.compile_seconds", elapsed)
+    obs.gauge("optimize.compile_seconds", elapsed)
     # Report the tile sizes the pass actually used: the first tiled
     # live-out entry carries the effective (clipped or defaulted) vector,
     # which differs from the caller's request when sizes were omitted

@@ -41,14 +41,14 @@ def apply_mixed_schedules(
 
     The tree held by ``scheduled`` is mutated in place and returned.
     """
-    from ..service import instrument
+    from .. import obs
 
     tree = scheduled.tree
     for entry in mixed.tiling_entries():
         group = entry.group
         if not entry.is_tiled:
             continue  # untiled live-out space: leave its subtree alone
-        with instrument.span(
+        with obs.span(
             "tile_group", group=group.name, sizes=str(entry.tile_sizes)
         ):
             tile = tile_group(tree, group, entry.tile_sizes)
@@ -58,9 +58,9 @@ def apply_mixed_schedules(
                 "permutable"
             )
         for ext in mixed.extensions_of(group):
-            with instrument.span("splice_extension", group=ext.group.name):
+            with obs.span("splice_extension", group=ext.group.name):
                 _splice_extension(program, tree, tile, entry, ext)
-            instrument.count("post_fusion.extensions_spliced")
+            obs.count("post_fusion.extensions_spliced")
     return tree
 
 

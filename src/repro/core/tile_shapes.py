@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from .. import obs
 from ..ir import Program
 from ..presburger import Map, UnionMap
 from ..scheduler import FusionGroup
-from ..service import instrument
 from .exposed import exposed_tensors
 from .footprint import (
     TILE_TUPLE,
@@ -146,7 +146,7 @@ def construct_tile_shapes(
     """
     mixed = MixedSchedules()
     _algorithm1(program, liveout, list(intermediates), tile_sizes, target, mixed)
-    instrument.count("tile_shapes.entries", len(mixed.entries))
+    obs.count("tile_shapes.entries", len(mixed.entries))
     return mixed
 
 
@@ -168,10 +168,6 @@ def effective_tile_sizes(
     return sizes if sizes else None
 
 
-#: Backwards-compatible alias for the pre-promotion private name.
-_effective_tile_sizes = effective_tile_sizes
-
-
 def _algorithm1(
     program: Program,
     liveout: FusionGroup,
@@ -180,7 +176,7 @@ def _algorithm1(
     target: TargetSpec,
     mixed: MixedSchedules,
 ) -> None:
-    with instrument.span(
+    with obs.span(
         "algorithm1", liveout=liveout.name, intermediates=len(intermediates)
     ):
         _algorithm1_step(
@@ -253,7 +249,7 @@ def _algorithm1_step(
         if m > n:
             untiled.append(space)
             continue
-        with instrument.span("fuse_space", space=space.name):
+        with obs.span("fuse_space", space=space.name):
             entry = _fuse_space(
                 program,
                 space,
@@ -266,12 +262,12 @@ def _algorithm1_step(
                 budget,
                 binding,
             )
-            instrument.annotate(fused=entry is not None)
+            obs.annotate(fused=entry is not None)
         if entry is None:
-            instrument.count("tile_shapes.rejected_spaces")
+            obs.count("tile_shapes.rejected_spaces")
             untiled.append(space)
             continue
-        instrument.count("tile_shapes.fused_spaces")
+        obs.count("tile_shapes.fused_spaces")
         mixed.entries.append(entry)
 
     # Line 17: recursively handle the spaces left untiled.

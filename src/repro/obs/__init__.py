@@ -1,7 +1,6 @@
 """``repro.obs`` — the observability subsystem.
 
-Grown out of ``repro.service.instrument`` (which remains as a
-backwards-compatible alias):
+One import path for every span, counter and report in the package:
 
 * :mod:`trace` — hierarchical spans with parent/child links and
   attributes, counters, gauges, histograms, per-compile

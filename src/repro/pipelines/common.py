@@ -19,6 +19,11 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from ..ir import Expr, Program, ProgramBuilder, Tensor, as_expr
 
 
+class PipelineSizeError(ValueError):
+    """Raised when a problem size is too small for a pipeline: some stage
+    would get a non-positive extent (a pyramid deeper than the image)."""
+
+
 @dataclass
 class Image:
     """A tensor together with its valid-region extents."""
@@ -41,6 +46,7 @@ class ImagePipeline:
     """
 
     def __init__(self, name: str):
+        self.name = name
         self.b = ProgramBuilder(name, params={})
         self.stages: List[List[str]] = []
         self._counter = 0
@@ -52,10 +58,20 @@ class ImagePipeline:
         self._counter += 1
         return name
 
+    def _image(self, label: str, tensor_name: str, h: int, w: int) -> Image:
+        """A new ``(h, w)`` tensor for stage ``label``; both extents must be
+        positive."""
+        if h <= 0 or w <= 0:
+            raise PipelineSizeError(
+                f"{self.name}: stage {label!r} has extent ({h}, {w}); "
+                f"the input is too small for this pipeline"
+            )
+        return Image(self.b.tensor(tensor_name, (h, w)), h, w)
+
     # -- sources ------------------------------------------------------------
 
     def source(self, name: str, h: int, w: int) -> Image:
-        return Image(self.b.tensor(name, (h, w)), h, w)
+        return self._image(name, name, h, w)
 
     # -- stages ---------------------------------------------------------------
 
@@ -69,7 +85,7 @@ class ImagePipeline:
         """out[h, w] = fn(src0[h, w], src1[h, w], ...)."""
         h = min(s.h for s in srcs)
         w = min(s.w for s in srcs)
-        out = Image(self.b.tensor(out_name or f"t_{label}", (h, w)), h, w)
+        out = self._image(label, out_name or f"t_{label}", h, w)
         hi, wi = self.b.iters("h", "w")
         loads = [s.tensor[hi, wi] for s in srcs]
         stmt = self.b.assign(
@@ -103,7 +119,7 @@ class ImagePipeline:
             max_dx -= min_dx
         h = src.h - max_dy
         w = src.w - max_dx
-        out = Image(self.b.tensor(out_name or f"t_{label}", (h, w)), h, w)
+        out = self._image(label, out_name or f"t_{label}", h, w)
         hi, wi = self.b.iters("h", "w")
         if weights is None:
             weights = [1.0 / len(offsets)] * len(offsets)
@@ -133,7 +149,7 @@ class ImagePipeline:
     def downsample(self, label: str, src: Image, factor: int = 2) -> Image:
         """out[i, j] = mean of the factor x factor block of src."""
         h, w = src.h // factor, src.w // factor
-        out = Image(self.b.tensor(f"t_{label}", (h, w)), h, w)
+        out = self._image(label, f"t_{label}", h, w)
         hi, wi = self.b.iters("h", "w")
         expr: Expr = as_expr(0)
         weight = 1.0 / (factor * factor)
@@ -153,7 +169,7 @@ class ImagePipeline:
     def upsample(self, label: str, src: Image, factor: int = 2) -> Image:
         """Nearest-neighbour expansion: out[f*i+di, f*j+dj] = src[i, j]."""
         h, w = src.h * factor, src.w * factor
-        out = Image(self.b.tensor(f"t_{label}", (h, w)), h, w)
+        out = self._image(label, f"t_{label}", h, w)
         hi, wi, di, dj = self.b.iters("h", "w", "dh", "dw")
         stmt = self.b.assign(
             self._sname(label),
@@ -177,7 +193,7 @@ class ImagePipeline:
 
 def crop_to(pipe: ImagePipeline, label: str, src: Image, h: int, w: int) -> Image:
     """Pointwise copy into a smaller valid region (aligns pyramid levels)."""
-    out = Image(pipe.b.tensor(f"t_{label}", (h, w)), h, w)
+    out = pipe._image(label, f"t_{label}", h, w)
     hi, wi = pipe.b.iters("h", "w")
     stmt = pipe.b.assign(
         pipe._sname(label),

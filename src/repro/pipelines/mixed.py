@@ -23,6 +23,7 @@ from __future__ import annotations
 
 
 from ..ir import Program, ProgramBuilder, quant, relu
+from .common import PipelineSizeError
 
 #: Kernel extent of the ResNet-style convolutions.  Large on purpose: a
 #: K×K conv reduction has stage-level arithmetic intensity ~K²/12 ops per
@@ -36,7 +37,7 @@ TILE_SIZES = (32, 32)
 def build_camera_resnet(size: int = 512, k: int = CAMERA_K) -> Program:
     """Quantise in place, then two conv+bn/ReLU pairs (kernels ``k``)."""
     if size < 2 * k + 2:
-        raise ValueError(
+        raise PipelineSizeError(
             f"camera_resnet needs size >= {2 * k + 2} for k={k}, got {size}"
         )
     p = {"H": size, "W": size, "KH": k, "KW": k}
@@ -78,7 +79,7 @@ def build_camera_resnet(size: int = 512, k: int = CAMERA_K) -> Program:
 def build_edge_infer(size: int = 512, k: int = EDGE_K) -> Program:
     """Normalise in place, box-filter, one big conv, ReLU in place."""
     if size < k + 3:
-        raise ValueError(
+        raise PipelineSizeError(
             f"edge_infer needs size >= {k + 3} for k={k}, got {size}"
         )
     p = {"H": size, "W": size, "KH": k, "KW": k}

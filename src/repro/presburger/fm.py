@@ -29,11 +29,11 @@ from __future__ import annotations
 from math import ceil, floor, gcd
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from .. import obs
 from . import memo
 from .constraint import EQ, GE, Constraint
 from .linexpr import LinExpr
 from .symtab import sym_name
-from ..service import instrument
 
 #: Dimension-count histogram buckets for FM eliminations (most systems in
 #: this package project out 1-4 symbols; tile bands push the tail higher).
@@ -98,7 +98,7 @@ def eliminate_symbol(constraints: Sequence[Constraint], sym: str) -> List[Constr
         lo = max(-c.expr.const for _, c in lowers)
         hi = min(c.expr.const for _, c in uppers)
         if lo <= hi:
-            instrument.count("presburger.fm_box_fast_path")
+            obs.count("presburger.fm_box_fast_path")
             return _dedupe(rest)
     for al, cl in lowers:
         for au, cu in uppers:
@@ -150,9 +150,9 @@ def _eliminate_via_equality(
 def eliminate_symbols(
     constraints: Sequence[Constraint], syms: Sequence[str]
 ) -> List[Constraint]:
-    instrument.count("presburger.fm_eliminate", len(syms))
+    obs.count("presburger.fm_eliminate", len(syms))
     if syms:
-        instrument.observe(
+        obs.observe(
             "presburger.fm.eliminated_dims", len(syms), buckets=_DIM_BUCKETS
         )
     key = (tuple(constraints), tuple(syms))
@@ -177,9 +177,9 @@ def eliminate_symbols_for_bounds(
     feasibility or bounds (both are representation-independent), never where
     the projected constraints become part of a set that user code sees.
     """
-    instrument.count("presburger.fm_eliminate", len(syms))
+    obs.count("presburger.fm_eliminate", len(syms))
     if syms:
-        instrument.observe(
+        obs.observe(
             "presburger.fm.eliminated_dims", len(syms), buckets=_DIM_BUCKETS
         )
     key = (tuple(constraints), tuple(syms))
@@ -291,10 +291,10 @@ def prune_implied_by_intervals(
     for c in constraints:
         if c.kind == GE:
             if c.expr.const != tightest.get(c.expr.terms):
-                instrument.count("presburger.prune_interval")
+                obs.count("presburger.prune_interval")
                 continue  # a tighter same-pattern constraint exists
             if len(c.expr.terms) > 1 and implied_by_intervals(c, bounds):
-                instrument.count("presburger.prune_interval")
+                obs.count("presburger.prune_interval")
                 continue
         out.append(c)
     return out
@@ -362,7 +362,7 @@ def find_integer_point(
     Raises :class:`FeasibilityUndecided` if the search budget is exhausted
     (unbounded or enormous systems).
     """
-    instrument.count("presburger.integer_sample")
+    obs.count("presburger.integer_sample")
     cur = _dedupe(constraints)
     for c in cur:
         if c.is_trivially_false():
@@ -438,7 +438,7 @@ def prune_redundant(constraints: Sequence[Constraint]) -> List[Constraint]:
             continue
         others = kept[:i] + kept[i + 1 :]
         if implied_by_intervals(candidate, interval_bounds(others)):
-            instrument.count("presburger.prune_interval")
+            obs.count("presburger.prune_interval")
             kept.pop(i)
             continue
         negs = candidate.negated()

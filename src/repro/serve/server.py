@@ -57,9 +57,11 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Dict, Optional, Tuple
 
+from .. import obs
 from ..obs import MetricsRegistry
 from ..obs import distributed
 from ..obs.events import EventLog, SampleRing
+from ..workloads import PipelineSizeError
 from . import protocol
 from .singleflight import SingleFlight
 
@@ -596,7 +598,10 @@ class CompileServer:
                 method=method,
                 workload=norm.get("workload"),
             )
-        summary = await self._await_flight(task, method, ctx)
+        try:
+            summary = await self._await_flight(task, method, ctx)
+        except PipelineSizeError as exc:
+            raise RequestError("bad-request", str(exc))
         if summary.get("error"):
             self.events.emit(
                 "request.failed",
@@ -682,7 +687,6 @@ class CompileServer:
         budget in ``bench_obs_overhead --serve`` polices.  Injected test
         ``compile_fn``\\ s keep their one-argument signature and simply
         nest."""
-        from ..service import instrument
 
         if ctx is None or not ctx.sampled:
             summary, report = fn(norm)
@@ -695,8 +699,8 @@ class CompileServer:
                 shares_report = False
             self._shares_report[fn] = shares_report
         with distributed.use_context(ctx):
-            with instrument.collect(trace=True) as traced:
-                with instrument.span(
+            with obs.collect(trace=True) as traced:
+                with obs.span(
                     "serve.request",
                     trace_id=ctx.trace_id,
                     parent_span_id=ctx.span_id,
@@ -764,13 +768,12 @@ class CompileServer:
         request (and process).  ``report`` is an already-active tracing
         collector to reuse (see ``_call_traced``)."""
         from ..options import CompileOptions
-        from ..service import instrument
         from ..service.driver import CompileRequest, compile_batch
         from ..workloads import build_workload
 
         t0 = perf_counter()
         with (
-            instrument.collect() if report is None else nullcontext(report)
+            obs.collect() if report is None else nullcontext(report)
         ) as report:
             program = build_workload(norm["workload"], norm["size"])
             request = CompileRequest(
@@ -810,12 +813,11 @@ class CompileServer:
         partitions of the same pipeline are warm."""
         from ..options import PartitionOptions
         from ..partition import partition_pipeline
-        from ..service import instrument
         from ..workloads import build_workload
 
         t0 = perf_counter()
         with (
-            instrument.collect() if report is None else nullcontext(report)
+            obs.collect() if report is None else nullcontext(report)
         ) as report:
             program = build_workload(norm["workload"], norm["size"])
             try:
@@ -852,12 +854,11 @@ class CompileServer:
         """Tile-size search for one normalized request (worker thread)."""
         from ..options import CompileOptions
         from ..scheduler.autotune import autotune_tile_sizes
-        from ..service import instrument
         from ..workloads import build_workload
 
         t0 = perf_counter()
         with (
-            instrument.collect() if report is None else nullcontext(report)
+            obs.collect() if report is None else nullcontext(report)
         ) as report:
             program = build_workload(norm["workload"], norm["size"])
             try:

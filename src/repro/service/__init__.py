@@ -6,17 +6,13 @@ Turns the one-shot ``repro.core.optimize`` pass into a reusable service:
 * :mod:`cache` — the tiered result cache (LRU memory over a store fabric);
 * :mod:`stores` — pluggable persistent tiers: local directory, shared
   HTTP remote, layered local+remote with write-behind;
-* :mod:`driver` — deduplicating, parallel batch-compile driver;
-* :mod:`instrument` — pass-level spans/counters and per-compile reports.
+* :mod:`driver` — deduplicating, parallel batch-compile driver.
 
-Only :mod:`instrument` is imported eagerly — it is dependency-free, so
-the lowest layers (``repro.presburger``) can bump counters without an
-import cycle.  Everything else loads lazily on first attribute access.
+Spans, counters and per-compile reports live in :mod:`repro.obs`.  Every
+name here loads lazily on first attribute access.
 """
 
 from __future__ import annotations
-
-from . import instrument
 
 __all__ = [
     "CacheStats",
@@ -34,7 +30,6 @@ __all__ = [
     "default_cache_dir",
     "fingerprint_program",
     "fingerprint_request",
-    "instrument",
     "load_program_memos",
     "memo_spill_enabled",
     "reset_default_cache",

@@ -29,9 +29,9 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from .. import obs
 from ..ir import Program
 from ..obs import distributed
-from . import instrument
 from .cache import CompileCache
 from .fingerprint import fingerprint_program, fingerprint_request
 
@@ -72,8 +72,8 @@ def load_program_memos(cache: CompileCache, program_fp: str) -> int:
         return 0
     loaded = memo.load_snapshot(snap)
     if loaded:
-        instrument.count("driver.memo_entries_loaded", loaded)
-        instrument.count("driver.memo_warm_starts")
+        obs.count("driver.memo_entries_loaded", loaded)
+        obs.count("driver.memo_warm_starts")
     return loaded
 
 
@@ -84,7 +84,7 @@ def spill_program_memos(cache: CompileCache, program_fp: str) -> None:
     snap = memo.snapshot()
     if snap:
         cache.put_memos(program_fp, snap)
-        instrument.count("driver.memo_spills")
+        obs.count("driver.memo_spills")
 
 
 def _batch_program_fps(requests: Sequence["CompileRequest"]) -> List[str]:
@@ -103,8 +103,8 @@ def _load_batch_memos(requests, cache: Optional[CompileCache]) -> None:
     for snap in snaps.values():
         loaded = memo.load_snapshot(snap)
         if loaded:
-            instrument.count("driver.memo_entries_loaded", loaded)
-            instrument.count("driver.memo_warm_starts")
+            obs.count("driver.memo_entries_loaded", loaded)
+            obs.count("driver.memo_warm_starts")
 
 
 def _spill_batch_memos(requests, cache: Optional[CompileCache]) -> None:
@@ -122,7 +122,6 @@ class CompileRequest:
     target: Union[str, object] = "cpu"
     tile_sizes: Optional[Tuple[int, ...]] = None
     startup: str = "smartfuse"
-    tag: Optional[str] = None
     _fingerprint: Optional[str] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -230,12 +229,12 @@ def _worker(payload: bytes) -> bytes:
         os.environ[distributed.ENV_VAR] = ctx.to_header()
     if observe:
         with distributed.use_context(ctx):
-            with instrument.collect(trace=trace) as report:
+            with obs.collect(trace=trace) as report:
                 attrs = {"fingerprint": request.fingerprint[:12]}
                 if ctx is not None:
                     attrs["trace_id"] = ctx.trace_id
                     attrs["parent_span_id"] = ctx.span_id
-                with instrument.span("compile_worker", **attrs):
+                with obs.span("compile_worker", **attrs):
                     result, error = _worker_body(request, memo_spec)
     else:
         report = None
@@ -297,7 +296,7 @@ def _dispatch(
         _spill_batch_memos(requests, memo_cache)
         return results
 
-    observe, trace = instrument.active(), instrument.tracing()
+    observe, trace = obs.active(), obs.tracing()
     ctx = distributed.current_context()
     ctx_header = ctx.to_header() if ctx is not None else None
     workers = max_workers or _default_workers(len(requests))
@@ -335,8 +334,8 @@ def _dispatch(
                     if report is not None:
                         # Worker-process perf_counter epochs are not
                         # comparable to ours: rebase onto the dispatch start.
-                        instrument.merge_report(report, at=t0)
-                        instrument.count("driver.worker_reports_merged")
+                        obs.merge_report(report, at=t0)
+                        obs.count("driver.worker_reports_merged")
                     results.append((result, error))
                 return results
     # Threads share the process-wide memo tables: load once, spill once.
@@ -348,12 +347,12 @@ def _dispatch(
         # Worker threads have fresh thread-locals: re-enter the driver's
         # trace context so store hops under this compile stay linked.
         with distributed.use_context(ctx):
-            with instrument.collect(trace=trace) as report:
+            with obs.collect(trace=trace) as report:
                 attrs = {"fingerprint": request.fingerprint[:12]}
                 if ctx is not None:
                     attrs["trace_id"] = ctx.trace_id
                     attrs["parent_span_id"] = ctx.span_id
-                with instrument.span("compile_worker", **attrs):
+                with obs.span("compile_worker", **attrs):
                     result, error = _run_request(request)
         return result, error, report
 
@@ -368,8 +367,8 @@ def _dispatch(
     for result, error, report in triples:
         if report is not None:
             # Same process, same clock: no rebase needed.
-            instrument.merge_report(report)
-            instrument.count("driver.worker_reports_merged")
+            obs.merge_report(report)
+            obs.count("driver.worker_reports_merged")
         results.append((result, error))
     _spill_batch_memos(requests, memo_cache)
     return results
@@ -391,17 +390,12 @@ def compile_batch(
     the defaults: auto dispatch, cpu-count workers, no cache).  The
     retired per-keyword spellings raise a ``TypeError`` pointing at
     ``CompileOptions``.
-
-    When ambient dataset collection is on (``$REPRO_DATASET``), each
-    successful explicitly-tiled request also appends one candidate record
-    to the autotune dataset (:mod:`repro.data`); requests the autotuner
-    tagged record through the tuner instead.
     """
     from ..options import resolve_options
 
     opts = resolve_options(options, "compile_batch", **removed)
     mode, max_workers, cache = opts.mode, opts.jobs, opts.cache
-    with instrument.span("compile_batch", mode=mode, requests=len(requests)):
+    with obs.span("compile_batch", mode=mode, requests=len(requests)):
         outcomes: List[CompileOutcome] = [
             CompileOutcome(request=r, fingerprint=r.fingerprint) for r in requests
         ]
@@ -410,8 +404,8 @@ def compile_batch(
         unique: Dict[str, int] = {}
         for i, out in enumerate(outcomes):
             unique.setdefault(out.fingerprint, i)
-        instrument.count("driver.requests", len(outcomes))
-        instrument.count("driver.unique_requests", len(unique))
+        obs.count("driver.requests", len(outcomes))
+        obs.count("driver.unique_requests", len(unique))
 
         # Warm fingerprints are served from the cache.
         cached: Dict[str, object] = {}
@@ -446,72 +440,8 @@ def compile_batch(
                 out.result, out.error = result, error
                 out.seconds = elapsed / max(len(to_compile), 1)
         if cache is not None:
-            instrument.count("driver.cache_hits", len(cached))
-        _collect_batch_records(outcomes)
+            obs.count("driver.cache_hits", len(cached))
     return outcomes
-
-
-def _collect_batch_records(outcomes: Sequence[CompileOutcome]) -> None:
-    """Append dataset records for a batch's tiled compiles (best effort).
-
-    Only runs under ambient collection (``$REPRO_DATASET``); skips
-    requests without explicit tile sizes (nothing to learn from), failed
-    compiles, and requests the autotuner tagged (the tuner records those
-    itself, with the sweep's exact threads and search context).
-    """
-    from ..data import collection_enabled, dataset_from_env, make_record
-
-    if not collection_enabled():
-        return
-    try:
-        from ..learn.features import ranking_features
-        from ..machine import analyze_optimized, cpu_time, gpu_time, work_features
-
-        records = []
-        seen = set()
-        for out in outcomes:
-            r = out.request
-            if (
-                r.tag == "autotune"
-                or r.tile_sizes is None
-                or not out.ok
-                or out.result is None
-                or out.fingerprint in seen
-            ):
-                continue
-            seen.add(out.fingerprint)
-            try:
-                work = analyze_optimized(out.result)
-                name = r.target if isinstance(r.target, str) else r.target.name
-                cost = (
-                    gpu_time(work) if name == "gpu" else cpu_time(work, 32)
-                )
-                records.append(
-                    make_record(
-                        fingerprint=fingerprint_program(r.program),
-                        tile_sizes=r.tile_sizes,
-                        cost=cost,
-                        features=ranking_features(
-                            r.program, r.tile_sizes, len(r.tile_sizes)
-                        ),
-                        program=r.program.name,
-                        target=name,
-                        startup=r.startup,
-                        threads=32,
-                        dims=len(r.tile_sizes),
-                        work=work_features(work),
-                        source="batch",
-                    )
-                )
-            except Exception:
-                continue
-        if records:
-            dataset = dataset_from_env()
-            if dataset is not None:
-                dataset.append(records)
-    except Exception:
-        # Collection must never fail a compile batch.
-        pass
 
 
 def cached_optimize(

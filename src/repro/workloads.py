@@ -5,8 +5,9 @@ address programs by name: the name (plus a size) fully determines the
 built :class:`~repro.ir.Program`, which is what lets a compile *request*
 travel over a wire as a few JSON fields instead of a pickled object.
 ``build_workload`` is the single name-to-program mapping; the CLI wraps
-its :class:`UnknownWorkloadError` in a ``SystemExit``, the server turns
-it into a structured ``bad-request`` reply.
+its :class:`UnknownWorkloadError` and :class:`PipelineSizeError` in a
+``SystemExit``, the server turns them into a structured ``bad-request``
+reply.
 """
 
 from __future__ import annotations
@@ -14,6 +15,11 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from .pipelines import IMAGE_PIPELINES, conv2d, equake, mixed, polybench, resnet
+from .pipelines.common import PipelineSizeError  # noqa: F401 (re-export)
+
+#: Image-pipeline sizes that differ from the family default of 512: the
+#: 8-level pyramid of multiscale interpolation needs size >= 1276.
+_IMAGE_SIZES = {"multiscale_interp": 2048}
 
 
 class UnknownWorkloadError(ValueError):
@@ -43,10 +49,11 @@ def build_workload(name: str, size: Optional[int] = None):
     """Build the named workload's :class:`~repro.ir.Program`.
 
     ``size`` scales the iteration space; each family has its own default.
-    Raises :class:`UnknownWorkloadError` for unregistered names.
+    Raises :class:`UnknownWorkloadError` for unregistered names and
+    :class:`PipelineSizeError` for a size too small for the pipeline.
     """
     if name in IMAGE_PIPELINES:
-        return IMAGE_PIPELINES[name].build(size or 512)
+        return IMAGE_PIPELINES[name].build(size or _IMAGE_SIZES.get(name, 512))
     if name == "conv2d":
         s = size or 64
         return conv2d.build({"H": s, "W": s, "KH": 3, "KW": 3})

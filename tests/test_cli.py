@@ -73,6 +73,11 @@ def test_optimize_unknown_workload():
         main(["optimize", "definitely_not_a_workload"])
 
 
+def test_too_small_size_exits_with_the_stage():
+    with pytest.raises(SystemExit, match="'dbx6' has extent"):
+        main(["code", "multiscale_interp", "--size", "512"])
+
+
 def test_code_openmp(cache_dir, capsys):
     rc = main(["code", "conv2d", "--size", "32", "--tile", "8", "8"])
     assert rc == 0

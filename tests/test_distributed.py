@@ -12,10 +12,8 @@ critical-path analysis the ``repro trace`` / ``repro profile`` CLIs rely
 on produce valid Chrome traces.
 """
 
-import gzip
 import json
 import os
-import threading
 import time
 import urllib.request
 
@@ -40,7 +38,8 @@ from repro.obs.schema import validate_chrome_trace
 from repro.serve import protocol
 from repro.serve.client import ServeClient
 from repro.serve.server import ServeConfig, ServerThread
-from repro.service import CompileCache, instrument
+from repro import obs as instrument
+from repro.service import CompileCache
 
 
 # -- trace context ---------------------------------------------------------

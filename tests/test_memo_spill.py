@@ -149,7 +149,7 @@ def test_cache_clear_selectors(tmp_path):
 def test_corrupt_memo_snapshot_is_evicted_not_fatal(tmp_path):
     cache = CompileCache(cache_dir=str(tmp_path))
     cache.put_memos("c" * 64, {"t": [(1, 2)]})
-    path = cache._path("c" * 64, kind="memos")
+    path = cache.store.path("memos", "c" * 64)
     with open(path, "wb") as f:
         f.write(b"garbage")
     assert cache.get_memos("c" * 64) is None

@@ -27,7 +27,7 @@ from repro.obs import (
     validate_metrics_snapshot,
     write_trace,
 )
-from repro.service import instrument
+from repro import obs as instrument
 
 
 class TestSpans:
@@ -335,10 +335,6 @@ class TestPipelineTrace:
 
 
 class TestPackage:
-    def test_instrument_is_an_alias(self):
-        assert instrument.CompileReport is obs.CompileReport
-        assert instrument.span is obs.span
-
     def test_all_exports_resolve(self):
         for name in obs.__all__:
             assert getattr(obs, name) is not None

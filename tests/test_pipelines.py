@@ -190,3 +190,34 @@ class TestResNet:
         prog = resnet.build_operator_pair(12, 12)
         res = check_equivalence(prog, (4, 4))
         assert len(res.fusion_summary()) == 1
+
+
+# -- problem sizes too small for a pipeline --------------------------------
+
+
+def test_too_small_pyramid_raises_typed_size_error():
+    """A size that would give some stage a non-positive extent fails at
+    build time, naming the stage and the extent."""
+    from repro.workloads import PipelineSizeError, build_workload
+
+    for name, stage, smallest in (
+        ("multiscale_interp", "dbx7", 1276),
+        ("local_laplacian", "b7_dbx", 50),
+    ):
+        with pytest.raises(PipelineSizeError, match=rf"'{stage}' has extent \(2, 0\)"):
+            build_workload(name, smallest - 1)
+        prog = build_workload(name, smallest)
+        for t in prog.tensors.values():
+            assert all(e > 0 for e in t.concrete_shape(prog.params)), (name, t.name)
+    with pytest.raises(PipelineSizeError, match=r"'dbx6' has extent \(2, 0\)"):
+        build_workload("multiscale_interp", 512)
+    assert issubclass(PipelineSizeError, ValueError)
+
+
+def test_registry_defaults_build_positive_extents():
+    from repro.workloads import build_workload, workload_names
+
+    for name in workload_names():
+        prog = build_workload(name)
+        for t in prog.tensors.values():
+            assert all(e > 0 for e in t.concrete_shape(prog.params)), (name, t.name)

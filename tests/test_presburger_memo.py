@@ -16,7 +16,7 @@ from repro.presburger import (
     parse_set,
 )
 from repro.presburger.linexpr import clear_intern_table, intern_table_size
-from repro.service import instrument
+from repro import obs as instrument
 
 
 def build_conv(h=16, w=16):

@@ -364,6 +364,22 @@ def test_bad_requests_and_unknown_method(tmp_path):
         sock.close()
 
 
+def test_too_small_size_is_a_bad_request(tmp_path):
+    config = _config(tmp_path)
+    with ServerThread(config):
+        with ServeClient(socket_path=config.socket_path) as c:
+            for call in (c.compile, c.autotune):
+                with pytest.raises(ServeError) as e:
+                    call("local_laplacian", size=49)
+                assert e.value.code == "bad-request"
+                assert "'b7_dbx' has extent (2, 0)" in e.value.message
+            with pytest.raises(ServeError) as e:
+                c.compile("edge_infer", size=8)
+            assert e.value.code == "bad-request"
+            assert "edge_infer needs size >= 16" in e.value.message
+            assert c.stats()["counters"]["serve.bad_requests"] == 3
+
+
 def test_stats_is_valid_metrics_snapshot(tmp_path):
     from repro.obs import validate_metrics_snapshot
 

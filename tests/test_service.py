@@ -16,6 +16,7 @@ import threading
 import pytest
 
 from repro import CompileOptions
+from repro import obs as instrument
 from repro.core import optimize
 from repro.pipelines import conv2d, polybench
 from repro.scheduler.autotune import autotune_tile_sizes
@@ -26,7 +27,6 @@ from repro.service import (
     compile_batch,
     fingerprint_program,
     fingerprint_request,
-    instrument,
 )
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -121,7 +121,7 @@ def test_corrupted_entry_is_evicted_not_fatal(tmp_path):
     p = build_conv()
     key = fingerprint_request(p, "cpu", (16, 16))
     cached_optimize(p, options=CompileOptions(target="cpu", tile_sizes=(16, 16), cache=cache))
-    path = cache._path(key)
+    path = cache.store.path("results", key)
     assert os.path.exists(path)
     with open(path, "wb") as f:
         f.write(b"this is not a pickle")
@@ -138,7 +138,7 @@ def test_corrupted_entry_is_evicted_not_fatal(tmp_path):
 def test_stale_schema_entry_is_evicted(tmp_path):
     cache = CompileCache(cache_dir=str(tmp_path))
     key = "ab" + "0" * 62
-    path = cache._path(key)
+    path = cache.store.path("results", key)
     os.makedirs(os.path.dirname(path))
     with open(path, "wb") as f:
         pickle.dump(("repro-cache", -1, key, b"payload"), f)
