@@ -3,13 +3,29 @@
 Where :mod:`repro.codegen.printer` renders display code, this backend emits
 a complete, compiling C program from a schedule tree and (when a C
 compiler is available) builds and runs it, exchanging tensors with Python
-through raw ``float64`` files.  Exactness is guaranteed by construction:
+through raw ``float64`` files.  Exactness is guaranteed by construction,
+and the loop nest carries no more checks than the schedule implies:
 
-* loop bounds are the Fourier–Motzkin union bounds of the member
-  statements (possibly over-approximate);
-* every statement instance is guarded by its full constraint system, so
-  over-approximated loops simply skip non-instances;
-* statement dimensions are recovered from the band pin equalities.
+* a loop's bounds are the union of its members' Fourier–Motzkin bounds:
+  ``min`` over members of each member's ``max`` of lower bounds, ``max``
+  over members of each member's ``min`` of upper bounds (possibly
+  over-approximate);
+* a statement instance is guarded by the part of its constraint system
+  that no enclosing loop already enforces.  A loop enforces the
+  unit-coefficient bounds all of its members share; a tile loop, whose
+  origin is rounded down to the tile grid, enforces its lower bounds only
+  up to ``size - 1``.  Non-unit bounds, bounds only some members of a
+  union loop have and FM over-approximations stay as guards, and the
+  disjuncts of one statement form an ``if … else if …`` chain so an
+  instance two pieces cover runs once;
+* statement dimensions are recovered from the band pin equalities;
+* ``main`` reads only the live-in tensors (:func:`live_in_tensors`): a
+  tensor that one statement fully defines before any read of it starts
+  out unread;
+* tensor arrays are declared inside ``main``, where they shadow any libc
+  or libm name (``gamma``, ``y1``);
+* :func:`compile_and_run` builds at ``-O3`` without ``-ffast-math``, so
+  floating point keeps IEEE semantics.
 
 The round trip (generate → gcc -fopenmp → run → compare with the
 interpreter) is exercised by the test suite, making this the repository's
@@ -27,7 +43,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..ir import Affine, BinOp, Call, Const, Expr, Load, Program, REDUCE, TensorStore
-from ..presburger import Constraint, LinExpr
+from ..presburger import GE, BasicSet, Constraint, LinExpr, Set
+from ..presburger.fm import eliminate_symbols
 from ..schedule import (
     BandNode,
     DomainNode,
@@ -39,7 +56,7 @@ from ..schedule import (
     SequenceNode,
     SKIPPED,
 )
-from .printer import _bound_exprs
+from .printer import render_linexpr
 
 HEADER = """\
 #include <stdio.h>
@@ -134,8 +151,9 @@ def generate_c(
 ) -> str:
     """A complete C program implementing the tree's schedule.
 
-    Tensors are read from ``<name>.bin`` (row-major float64) and live-out
-    tensors are written back to ``<name>.out.bin``.
+    The live-in tensors (:func:`live_in_tensors`) are read from
+    ``<name>.bin`` (row-major float64) and live-out tensors are written
+    back to ``<name>.out.bin``.
     """
     from .. import obs
 
@@ -150,15 +168,6 @@ def _generate_c(
 ) -> str:
     params = dict(program.params, **(params or {}))
     lines: List[str] = [HEADER]
-
-    # Tensor declarations (static arrays; sizes are concrete).
-    shapes: Dict[str, Tuple[int, ...]] = {
-        name: t.concrete_shape(params) for name, t in program.tensors.items()
-    }
-    for name, shape in shapes.items():
-        dims = "".join(f"[{e}]" for e in shape)
-        lines.append(f"static double {name}{dims};")
-    lines.append("")
     lines.append("static void read_tensor(const char *path, double *buf, long n) {")
     lines.append('  FILE *f = fopen(path, "rb");')
     lines.append('  if (!f) { fprintf(stderr, "missing %s\\n", path); exit(2); }')
@@ -173,8 +182,17 @@ def _generate_c(
     lines.append("")
     lines.append("int main(void) {")
 
+    # Tensor declarations (static arrays; sizes are concrete).  Block scope
+    # lets a tensor share its name with a libc/libm symbol.
+    shapes: Dict[str, Tuple[int, ...]] = {
+        name: t.concrete_shape(params) for name, t in program.tensors.items()
+    }
     for name, shape in shapes.items():
-        n = int(np.prod(shape))
+        dims = "".join(f"[{e}]" for e in shape)
+        lines.append(f"  static double {name}{dims};")
+    lines.append("")
+    for name in live_in_tensors(program, params):
+        n = int(np.prod(shapes[name]))
         lines.append(
             f'  read_tensor("{name}.bin", (double *){name}, {n}L);'
         )
@@ -202,8 +220,49 @@ def _generate_c(
     return "\n".join(lines)
 
 
+def live_in_tensors(
+    program: Program, params: Optional[Mapping[str, int]] = None
+) -> Tuple[str, ...]:
+    """The tensors whose contents before the kernel runs can matter.
+
+    A tensor ``T`` is left out only when exactly one statement ``P`` writes
+    it, ``P`` does not read it, every reader of ``T`` comes after ``P`` in
+    program order and reads only elements ``P`` writes, and ``P`` writes
+    all of ``T`` if ``T`` is live-out.  Any legal schedule then runs the
+    write of every element before its reads, so the initial contents are
+    never observed.
+    """
+    params = dict(program.params, **(params or {}))
+    return tuple(t for t in program.tensors if not _defined_before_use(program, t, params))
+
+
+def _defined_before_use(program: Program, tensor: str, params: Mapping[str, int]) -> bool:
+    writers = program.writers_of(tensor)
+    if len(writers) != 1 or tensor in writers[0].tensors_read():
+        return False
+    writer = writers[0]
+    order = program.statement_index(writer.name)
+    written = writer.write_relation().fix_params(params).range()
+    for reader in program.readers_of(tensor):
+        if program.statement_index(reader.name) < order:
+            return False
+        read = reader.read_relations()[(reader.name, tensor)].fix_params(params).range()
+        read = read.rename_dims(dict(zip(read.space.dims, written.space.dims)))
+        if not read.is_subset(written):
+            return False
+    if tensor in program.liveout:
+        box = [
+            c
+            for d, extent in zip(written.space.dims, program.tensors[tensor].concrete_shape(params))
+            for c in (Constraint.ge(LinExpr.var(d)), Constraint.lt(LinExpr.var(d), extent))
+        ]
+        if not Set.from_basic(BasicSet(written.space, box)).is_subset(written):
+            return False
+    return True
+
+
 class _CBody:
-    """Tree walker emitting exact guarded loop nests."""
+    """Tree walker emitting exact loop nests with residual guards."""
 
     def __init__(self, program: Program, params: Mapping[str, int]):
         self.program = program
@@ -214,6 +273,9 @@ class _CBody:
         # band dim name -> the C loop variable that carries it (extension
         # relations refer to enclosing bands by their dim names)
         self.band_map: Dict[str, str] = {}
+        # what the enclosing loops' bounds enforce: ``L + k >= 0`` for each
+        # linear part L (over loop vars) -> the constant k
+        self.enforced: Dict[tuple, int] = {}
 
     def emit(self, depth: int, text: str) -> None:
         self.lines.append("  " * depth + text)
@@ -227,8 +289,7 @@ class _CBody:
     def walk(self, node: Optional[Node], active, path: List[str], depth: int) -> None:
         if node is None or isinstance(node, LeafNode):
             for sname, disjuncts in active.items():
-                for cons in disjuncts:
-                    self._emit_statement(sname, cons, depth)
+                self._emit_statement(sname, disjuncts, depth)
             return
         if isinstance(node, MarkNode):
             if node.mark == SKIPPED:
@@ -272,33 +333,50 @@ class _CBody:
         opened: List[str] = []
         d0 = depth
         saved_band_map = dict(self.band_map)
+        saved_enforced = self.enforced
         for d in range(band.n_dims):
             var = self.fresh(band.dim_names[d])
             self.band_map[band.dim_names[d]] = var
             size = None if band.tile_sizes is None else band.tile_sizes[d]
-            lowers: List[str] = []
-            uppers: List[str] = []
+            members: List[Tuple[List[_Bound], List[_Bound]]] = []
             for sname, disjuncts in new_active.items():
                 if sname not in band.schedules:
                     continue
                 row = band.schedules[sname][d]
                 for cons in disjuncts:
                     eq = Constraint.eq(LinExpr.var(var) - row)
-                    lo, hi = _bound_exprs(cons + [eq], var, self.loop_vars)
-                    lowers.extend(lo)
-                    uppers.extend(hi)
-            lowers = list(dict.fromkeys(lowers))
-            uppers = list(dict.fromkeys(uppers))
-            if not lowers or not uppers:
+                    bounds = _member_bounds(cons + [eq], var, self.loop_vars)
+                    if bounds is None:
+                        continue  # the member has no instances
+                    if not bounds[0] or not bounds[1]:
+                        raise CBackendError(
+                            f"unbounded band dimension {band.dim_names[d]}"
+                        )
+                    members.append(bounds)
+            if not members:
                 raise CBackendError(
                     f"unbounded band dimension {band.dim_names[d]}"
                 )
-            lo_text = _combine_c(lowers, "max")
-            hi_text = _combine_c(uppers, "min")
+            # The loop runs over the union of its members' ranges, and so
+            # enforces only the bounds every member has.
+            lo_text = _combine_c(
+                list(dict.fromkeys(_combine_c([t for t, _ in lo], "max") for lo, _ in members)),
+                "min",
+            )
+            hi_text = _combine_c(
+                list(dict.fromkeys(_combine_c([t for t, _ in hi], "min") for _, hi in members)),
+                "max",
+            )
             init = lo_text
+            shared_lo = _shared([lo for lo, _ in members])
             if size is not None:
-                # align tile origins to the global grid
+                # align tile origins to the global grid: the origin is then
+                # only guaranteed to be above each lower bound minus size - 1
                 init = f"floord({lo_text}, {size}) * {size}"
+                shared_lo = {k: v + size - 1 for k, v in shared_lo.items()}
+            self.enforced = {
+                **self.enforced, **shared_lo, **_shared([hi for _, hi in members])
+            }
             step = f" += {size}" if size else "++"
             pragma = None
             if band.coincident[d] and not self.loop_vars:
@@ -325,12 +403,40 @@ class _CBody:
                         cons.append(Constraint.lt(row, kv + size))
         self.walk(band.child, new_active, path, d0)
         self.band_map = saved_band_map
+        self.enforced = saved_enforced
         for var in reversed(opened):
             self.loop_vars.pop()
             d0 -= 1
             self.emit(d0, "}")
 
-    def _emit_statement(self, sname: str, cons: Sequence[Constraint], depth: int) -> None:
+    def _emit_statement(
+        self, sname: str, disjuncts: Sequence[Sequence[Constraint]], depth: int
+    ) -> None:
+        """One statement's disjuncts at a leaf.
+
+        Consecutive disjuncts that execute the same instance form one
+        ``if … else if …`` chain, so an instance covered by two overlapping
+        pieces runs once.  A disjunct with no residual guard ends its chain.
+        """
+        chain_text: Optional[str] = None
+        closed = False
+        for cons in disjuncts:
+            lowered = self._lower_disjunct(sname, cons)
+            if lowered is None:
+                continue  # statically infeasible piece
+            guards, text = lowered
+            if text != chain_text:
+                chain_text, closed = text, False
+                self.emit(depth, f"if ({guards}) {text}" if guards else text)
+            elif not closed:
+                self.emit(depth, f"else if ({guards}) {text}" if guards else f"else {text}")
+            closed = closed or not guards
+
+    def _lower_disjunct(
+        self, sname: str, cons: Sequence[Constraint]
+    ) -> Optional[Tuple[str, str]]:
+        """The residual guard and statement text of one disjunct, or None
+        when the disjunct is statically infeasible."""
         stmt = self.program.statement(sname)
         solved: Dict[str, LinExpr] = {}
         # Iteratively solve pin equalities (a dim may be defined via another
@@ -367,20 +473,101 @@ class _CBody:
         env = {d: _linexpr_c(e, {}) for d, e in solved.items()}
         guards: List[str] = []
         for c in cons:
-            expr = c.expr.substitute(solved)
-            if expr.is_constant():
-                if (c.kind == "==" and expr.const != 0) or (
-                    c.kind == ">=" and expr.const < 0
-                ):
-                    return  # statically infeasible piece
+            c = c.substitute(solved)
+            if c.expr.is_constant():
+                if c.is_trivially_false():
+                    return None
                 continue
-            text = _linexpr_c(expr, {})
+            if self._is_enforced(c):
+                continue
+            text = _linexpr_c(c.expr, {})
             guards.append(f"({text}) {'==' if c.kind == '==' else '>='} 0")
-        guard_text = " && ".join(dict.fromkeys(guards)) if guards else "1"
         lhs_idx = "".join(f"[{_linexpr_c(i.substitute(solved), {})}]" for i in stmt.lhs.indices)
         rhs = render_expr_c(stmt.rhs, env, self.program)
         op = "+=" if stmt.kind == REDUCE else "="
-        self.emit(depth, f"if ({guard_text}) {stmt.lhs.tensor}{lhs_idx} {op} {rhs};")
+        return " && ".join(dict.fromkeys(guards)), f"{stmt.lhs.tensor}{lhs_idx} {op} {rhs};"
+
+    def _is_enforced(self, c: Constraint) -> bool:
+        if c.kind == GE:
+            return self._implied(c.expr)
+        return self._implied(c.expr) and self._implied(-c.expr)
+
+    def _implied(self, expr: LinExpr) -> bool:
+        """Whether an enclosing loop enforces ``expr >= 0``."""
+        k = self.enforced.get(expr.terms)
+        return k is not None and k <= expr.const
+
+
+#: One loop bound of a member: its C text, and the constraint (over the
+#: loop var and outer loop vars) that the bound enforces when it is a
+#: unit-coefficient bound, else None.
+_Bound = Tuple[str, Optional[Constraint]]
+
+
+def _member_bounds(
+    constraints: Sequence[Constraint], var: str, keep: Sequence[str]
+) -> Optional[Tuple[List[_Bound], List[_Bound]]]:
+    """Lower and upper bounds of ``var`` in one member's constraint system.
+
+    ``keep`` lists the outer loop vars; every other symbol is projected
+    away (Fourier–Motzkin).  Returns None when the projection is
+    infeasible, i.e. the member has no instances.
+    """
+    syms = set()
+    for c in constraints:
+        syms.update(c.expr.symbols())
+    # Sorted, not set order: the FM elimination order decides which derived
+    # constraints survive and hence the operand order of the emitted
+    # max()/min()/ceild()/floord(); it must not depend on PYTHONHASHSEED.
+    eliminate = sorted(s for s in syms if s != var and s not in keep)
+    lowers: Dict[str, Optional[Constraint]] = {}
+    uppers: Dict[str, Optional[Constraint]] = {}
+    for c in eliminate_symbols(list(constraints), eliminate):
+        a = c.coeff(var)
+        if a == 0:
+            if c.is_trivially_false():
+                return None
+            continue
+        rest = c.expr - LinExpr({var: a})
+        if c.kind == "==":
+            if abs(a) == 1:
+                # var == -a * rest
+                text = render_linexpr(-rest * a)
+                lowers.setdefault(text, Constraint(c.expr * a, GE))
+                uppers.setdefault(text, Constraint(c.expr * -a, GE))
+            else:
+                text = render_linexpr(-rest)
+                lowers.setdefault(f"({text})/{a}", None)
+                uppers.setdefault(f"({text})/{a}", None)
+        elif a > 0:
+            # a*var + rest >= 0  ->  var >= ceild(-rest, a)
+            text = render_linexpr(-rest)
+            lowers.setdefault(text if a == 1 else f"ceild({text}, {a})", c if a == 1 else None)
+        else:
+            text = render_linexpr(rest)
+            uppers.setdefault(text if a == -1 else f"floord({text}, {-a})", c if a == -1 else None)
+    return list(lowers.items()), list(uppers.items())
+
+
+def _shared(bound_lists: Sequence[List[_Bound]]) -> Dict[tuple, int]:
+    """The bounds that every member's list has, as linear part -> constant.
+
+    A member may bound the same linear part with several constants; its
+    tightest (smallest) one applies.  The union loop then enforces the
+    weakest (largest) of the members' constants.
+    """
+    shared: Optional[Dict[tuple, int]] = None
+    for bounds in bound_lists:
+        tightest: Dict[tuple, int] = {}
+        for _, c in bounds:
+            if c is not None:
+                key, k = c.expr.terms, c.expr.const
+                tightest[key] = min(tightest.get(key, k), k)
+        if shared is None:
+            shared = tightest
+        else:
+            shared = {key: max(k, tightest[key]) for key, k in shared.items() if key in tightest}
+    return shared or {}
 
 
 def _combine_c(parts: List[str], fn: str) -> str:
@@ -410,7 +597,7 @@ def compile_and_run(
     keep_dir: Optional[str] = None,
     openmp: bool = True,
 ) -> Dict[str, np.ndarray]:
-    """Generate, compile (gcc -O2 [-fopenmp]), execute, collect live-outs.
+    """Generate, compile (gcc -O3 [-fopenmp]), execute, collect live-outs.
 
     ``store`` provides the input tensor contents; the returned dict maps
     live-out tensor names to the arrays the C program produced.  Tests
@@ -428,13 +615,13 @@ def compile_and_run(
     with open(src_path, "w") as f:
         f.write(source)
     exe = os.path.join(workdir, "kernel")
-    cmd = [cc, "-O2", src_path, "-o", exe, "-lm"]
+    cmd = [cc, "-O3", src_path, "-o", exe, "-lm"]
     if openmp:
         cmd.insert(2, "-fopenmp")
     proc = subprocess.run(cmd, capture_output=True, text=True)
     if proc.returncode != 0:
         raise CBackendError(f"compilation failed:\n{proc.stderr}\n--- source ---\n{source}")
-    for name in program.tensors:
+    for name in live_in_tensors(program, params):
         store[name].astype(np.float64).tofile(os.path.join(workdir, f"{name}.bin"))
     proc = subprocess.run([exe], cwd=workdir, capture_output=True, text=True)
     if proc.returncode != 0:
